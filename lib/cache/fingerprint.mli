@@ -15,34 +15,17 @@
     State {e indices} are part of the canonical form on purpose: a
     relabeling of states is a genuinely different model to every
     state-indexed consumer (policies, bias vectors, analytic
-    metrics), so it must not collide.
-
-    The solver configuration (reference state, iteration budget,
-    evaluation backend) is folded into the key as a prefix: the same
-    model solved under a different configuration may legitimately
-    produce a different trace, so the cache keys on both. *)
-
-type config = {
-  ref_state : int;  (** bias reference state (solver default 0) *)
-  max_iter : int;  (** policy-iteration budget (solver default 1000) *)
-  eval : Dpm_ctmdp.Policy_iteration.eval_path;
-      (** evaluation backend (solver default [Auto]) *)
-}
-
-val default_config : config
-(** [{ ref_state = 0; max_iter = 1000; eval = Auto }] — mirrors the
-    {!Dpm_ctmdp.Policy_iteration.solve} defaults. *)
+    metrics), so it must not collide. *)
 
 val model : Dpm_ctmdp.Model.t -> string
-(** The canonical binary encoding of a model (no configuration).
-    Equal iff the models are structurally equal up to within-state
+(** The canonical binary encoding of a model.  Equal iff the models are structurally equal up to within-state
     choice/rate ordering. *)
 
-val key : ?config:config -> Dpm_ctmdp.Model.t -> string
-(** [key ~config m] is the full cache key: a format-version magic,
-    the encoded configuration, then {!model}.  Keys are compared
-    byte-for-byte by the cache, so a cache hit is collision-proof —
-    the 64-bit hash below is only a diagnostic digest. *)
+val key : Dpm_ctmdp.Model.t -> string
+(** [key m] is the full cache key: a format-version magic, then
+    {!model}.  Keys are compared byte-for-byte by the cache, so a
+    cache hit is collision-proof — the 64-bit hash below is only a
+    diagnostic digest. *)
 
 val hash64 : string -> int64
 (** FNV-1a 64-bit hash of an arbitrary string. *)

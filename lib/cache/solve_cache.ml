@@ -41,11 +41,11 @@ let publish c =
     (if lookups = 0 then 0.0
      else float_of_int s.Lru.hits /. float_of_int lookups)
 
-let find ?(config = Fingerprint.default_config) m =
+let find m =
   let c = !cache in
   if Lru.capacity c = 0 then None
   else begin
-    let key = Fingerprint.key ~config m in
+    let key = Fingerprint.key m in
     let hit =
       match Lru.find c key with
       | None -> None
@@ -78,7 +78,7 @@ let find ?(config = Fingerprint.default_config) m =
     hit
   end
 
-let store ?(config = Fingerprint.default_config) m (result : Pi.result) =
+let store m (result : Pi.result) =
   let c = !cache in
   if Lru.capacity c > 0 then begin
     let entry =
@@ -87,19 +87,15 @@ let store ?(config = Fingerprint.default_config) m (result : Pi.result) =
         result = { result with Pi.bias = Dpm_linalg.Vec.copy result.Pi.bias };
       }
     in
-    if Lru.add c (Fingerprint.key ~config m) entry then
+    if Lru.add c (Fingerprint.key m) entry then
       Probe.incr "cache.evictions";
     publish c
   end
 
-let solve ?(config = Fingerprint.default_config) ?init ?guard m =
-  match find ~config m with
+let solve ?init ?guard m =
+  match find m with
   | Some result -> result
   | None ->
-      let result =
-        Pi.solve ~ref_state:config.Fingerprint.ref_state
-          ~max_iter:config.Fingerprint.max_iter ?init
-          ~eval:config.Fingerprint.eval ?guard m
-      in
-      store ~config m result;
+      let result = Pi.solve ?init ?guard m in
+      store m result;
       result

@@ -1,7 +1,7 @@
 (** The process-wide policy-iteration result cache.
 
     Memoizes {!Dpm_ctmdp.Policy_iteration.solve} results keyed on the
-    {!Fingerprint} of the model plus solver configuration.  Entries
+    {!Fingerprint} of the model.  Entries
     store action {e labels}, not a [Policy.t]: a policy's internal
     choice indices are only meaningful for the exact model instance
     that produced it, so a hit rebuilds the policy against the
@@ -46,7 +46,6 @@ val hit_ratio : unit -> float
 (** [hits / (hits + misses)], 0 when no lookups happened. *)
 
 val find :
-  ?config:Fingerprint.config ->
   Dpm_ctmdp.Model.t ->
   Dpm_ctmdp.Policy_iteration.result option
 (** Cache lookup.  On a hit the returned result carries a policy
@@ -55,7 +54,6 @@ val find :
     original solve's. *)
 
 val store :
-  ?config:Fingerprint.config ->
   Dpm_ctmdp.Model.t ->
   Dpm_ctmdp.Policy_iteration.result ->
   unit
@@ -65,14 +63,12 @@ val store :
     first attempt is never memoized. *)
 
 val solve :
-  ?config:Fingerprint.config ->
   ?init:Dpm_ctmdp.Policy.t ->
   ?guard:(unit -> unit) ->
   Dpm_ctmdp.Model.t ->
   Dpm_ctmdp.Policy_iteration.result
 (** Memoized {!Dpm_ctmdp.Policy_iteration.solve}: {!find}, else solve
-    under [config] (with optional warm start [init] and [guard]) and
-    {!store}.  The key deliberately excludes [init]: policy iteration
+    (with optional warm start [init] and [guard]) and {!store}.  The key deliberately excludes [init]: policy iteration
     converges to an average-cost optimum from any start, so any
     cached optimum is a valid answer; callers that need the {e path}
     (trace forensics) should bypass the cache. *)

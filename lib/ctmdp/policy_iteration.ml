@@ -156,76 +156,9 @@ let evaluate_robust ?(ref_state = 0) m p =
       in
       attempt 0
 
-(* --- sparse evaluation --------------------------------------------- *)
+(* --- matrix-free sweep evaluation ------------------------------------ *)
 
-(* The policy's generator as CSR, straight from the choice rates. *)
-let sparse_generator m p =
-  let n = Model.num_states m in
-  let ts = ref [] in
-  for i = 0 to n - 1 do
-    let c = Model.choice m i (Policy.choice_index p i) in
-    let exit = exit_rate_of c in
-    if exit > 0.0 then ts := (i, i, -.exit) :: !ts;
-    List.iter
-      (fun (j, r) -> if r > 0.0 then ts := (i, j, r) :: !ts)
-      c.Model.rates
-  done;
-  Sparse.of_triplets ~rows:n ~cols:n !ts
-
-(* The bias equations with the gain folded into column [ref_state]
-   (same system as [dense_system], CSR) — used to cross-check any
-   candidate solution cheaply via one sparse mat-vec. *)
-let sparse_system ~ref_state m p =
-  let n = Model.num_states m in
-  let ts = ref [] in
-  let b = Vec.create n in
-  for i = 0 to n - 1 do
-    let c = Model.choice m i (Policy.choice_index p i) in
-    b.(i) <- -.c.Model.cost;
-    let exit = exit_rate_of c in
-    if i <> ref_state && exit > 0.0 then ts := (i, i, -.exit) :: !ts;
-    List.iter
-      (fun (j, r) ->
-        if j <> ref_state && r > 0.0 then ts := (i, j, r) :: !ts)
-      c.Model.rates;
-    ts := (i, ref_state, -1.0) :: !ts
-  done;
-  (Sparse.of_triplets ~rows:n ~cols:n !ts, b)
-
-(* The bias system with the gain already known: row [ref_state] is
-   pinned to [v_ref = 0] and column [ref_state] is dropped from every
-   other row, which restores weak diagonal dominance — exactly the
-   M-matrix structure Gauss-Seidel sweeps are reliable on.
-
-   Rows are normalized by their exit rate (diagonal -1).  This leaves
-   the solution and the Gauss-Seidel iterates untouched (each update
-   solves its row for x_i) but turns the sweep's absolute residual
-   test into a per-row relative one — essential because the big-M
-   self-switch rates (1e6) put the raw residual's floating-point
-   floor far above any absolute tolerance worth having. *)
-let pinned_bias_system ~ref_state ~gain m p =
-  let n = Model.num_states m in
-  let ts = ref [ (ref_state, ref_state, 1.0) ] in
-  let b = Vec.create n in
-  for i = 0 to n - 1 do
-    if i <> ref_state then begin
-      let c = Model.choice m i (Policy.choice_index p i) in
-      let exit = exit_rate_of c in
-      if exit > 0.0 then begin
-        b.(i) <- (gain -. c.Model.cost) /. exit;
-        ts := (i, i, -1.0) :: !ts;
-        List.iter
-          (fun (j, r) ->
-            if j <> ref_state && r > 0.0 then ts := (i, j, r /. exit) :: !ts)
-          c.Model.rates
-      end
-      (* exit = 0: absorbing state — leave the zero diagonal; the
-         sweep rejects it and the caller falls back to dense. *)
-    end
-  done;
-  (Sparse.of_triplets ~rows:n ~cols:n !ts, b)
-
-exception Sparse_failed of string
+exception Sweep_failed of string
 
 (* Every state must reach [ref_state] under the policy's chain, else
    the pinned bias system is singular (the policy is multichain) and
@@ -260,97 +193,25 @@ let check_reaches_ref ~ref_state m p =
   done;
   if !count < n then
     raise
-      (Sparse_failed
+      (Sweep_failed
          (Printf.sprintf
             "multichain policy: %d of %d states cannot reach the reference \
              state"
             (n - !count) n))
 
-let evaluate_sparse_exn ~ref_state ~tol ~max_iter ~guard m p =
-  let n = Model.num_states m in
-  check_reaches_ref ~ref_state m p;
-  (* Stage 1: stationary distribution of the policy chain -> gain. *)
-  let g = sparse_generator m p in
-  let pi = Iterative.gauss_seidel_steady ~tol ~max_iter ~guard g in
-  if not pi.Iterative.converged then
-    raise (Sparse_failed "stationary sweep did not converge");
-  let gain = ref 0.0 in
-  for i = 0 to n - 1 do
-    let c = Model.choice m i (Policy.choice_index p i) in
-    gain := !gain +. (pi.Iterative.solution.(i) *. c.Model.cost)
-  done;
-  let gain = !gain in
-  (* Stage 2: bias from the pinned system (gain known, v_ref = 0).
-     The sweep's own convergence flag is advisory: its absolute
-     residual test can stall at the floating-point noise floor even
-     when the iterate is fully converged, so acceptance is decided by
-     the exact-system verification below, not here. *)
-  let a, b = pinned_bias_system ~ref_state ~gain m p in
-  (* The sweep's stopping test is an absolute residual, so scale the
-     tolerance with the system's magnitude — the bias itself can reach
-     1e4 on deep queues, putting the attainable floor near eps*|bias|;
-     an unscaled 1e-12 would spin to max_iter on converged iterates. *)
-  let tol = tol *. Float.max 1.0 (Vec.norm_inf b) in
-  let sol = Iterative.gauss_seidel ~tol ~max_iter ~guard a b in
-  (* Verify against the exact relative-value equations: one sparse
-     mat-vec.  This also catches multichain policies, where the
-     stationary sweep converges to the wrong chain's gain. *)
-  let ag, bg = sparse_system ~ref_state m p in
-  let x =
-    Vec.init n (fun j ->
-        if j = ref_state then gain else sol.Iterative.solution.(j))
-  in
-  let residual = Vec.norm_inf (Vec.sub (Sparse.mul_vec ag x) bg) in
-  let accept = 1e-7 *. Float.max 1.0 (Vec.norm_inf bg) in
-  if residual > accept then
-    raise
-      (Sparse_failed
-         (Printf.sprintf "verification residual %g above %g" residual accept));
-  Dpm_trace.Provenance.note_residual residual;
-  evaluation_of ~ref_state x
-
-let evaluate_sparse ?(ref_state = 0) ?(tol = 1e-12) ?max_iter
-    ?(guard = fun () -> ()) m p =
-  check_ref_state m ref_state;
-  let max_iter =
-    match max_iter with
-    | Some k -> k
-    | None -> max 10_000 (50 * Model.num_states m)
-  in
-  match evaluate_sparse_exn ~ref_state ~tol ~max_iter ~guard m p with
-  | e ->
-      Dpm_obs.Probe.incr "policy_iteration.sparse_evals";
-      Dpm_obs.Probe.set "policy_iteration.eval_path" 1.0;
-      Dpm_trace.Provenance.note_eval_path "sparse";
-      e
-  | exception (Sparse_failed reason | Invalid_argument reason) ->
-      (* Zero diagonals (absorbing states), non-convergence, or a
-         verification miss: fall back to the exact dense LU path. *)
-      Logs.debug (fun k ->
-          k "sparse policy evaluation fell back to dense LU: %s" reason);
-      Dpm_obs.Probe.incr "policy_iteration.sparse_fallbacks";
-      Dpm_obs.Probe.set "policy_iteration.eval_path" 0.0;
-      Dpm_trace.Provenance.note_sparse_fallback ();
-      Dpm_trace.Provenance.note_eval_path "dense";
-      if Dpm_trace.Recorder.enabled () then
-        Dpm_trace.Recorder.instant "pi.sparse_fallback"
-          ~args:[ ("reason", Dpm_trace.Event.Str reason) ];
-      evaluate_robust ~ref_state m p
-
-(* --- implicit (matrix-free) evaluation ------------------------------ *)
-
 module A1 = Bigarray.Array1
 
-(* The implicit path never materializes the policy's generator as a
+(* The sweep path never materializes the policy's generator as a
    matrix: the rows are flattened once into plain int/float arrays
-   (O(n + nnz) with a counting sort for column access — no triplet
-   lists, no polymorphic-compare sort, no CSR transpose, all of which
-   dominate [evaluate_sparse]'s cost on large models) and both
-   Gauss-Seidel stages sweep those arrays over Bigarray iterates, so a
-   sweep allocates nothing.  The numerical scheme is exactly the
-   sparse path's: stationary distribution -> gain, then the pinned
-   exit-rate-normalized bias system, then verification against the
-   exact relative-value equations at the same acceptance threshold. *)
+   (O(n + nnz), with a counting sort for column access — no triplet
+   lists, no comparison sort, no CSR transpose) and both Gauss-Seidel
+   stages sweep those arrays over Bigarray iterates, so a sweep
+   allocates nothing.  Stage 1 finds the stationary distribution
+   (gain = pi . c); stage 2 solves the bias system with the gain known
+   and [v_ref = 0] pinned, which drops column [ref_state] and restores
+   the weak diagonal dominance Gauss-Seidel is reliable on; the
+   candidate is then verified against the exact relative-value
+   equations. *)
 let evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p =
   let n = Model.num_states m in
   check_reaches_ref ~ref_state m p;
@@ -362,7 +223,7 @@ let evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p =
     cost.(i) <- c.Model.cost;
     exit.(i) <- exit_rate_of c;
     if exit.(i) <= 0.0 then
-      raise (Sparse_failed "implicit: absorbing state (zero exit rate)");
+      raise (Sweep_failed "implicit: absorbing state (zero exit rate)");
     row_start.(i + 1) <- row_start.(i) + List.length c.Model.rates
   done;
   let nnz = row_start.(n) in
@@ -417,7 +278,7 @@ let evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p =
     done;
     let s = Bvec.sum pi in
     if s = 0.0 || not (Float.is_finite s) then
-      raise (Sparse_failed "implicit: stationary iterate degenerated");
+      raise (Sweep_failed "implicit: stationary iterate degenerated");
     Bvec.scale_inplace (1.0 /. s) pi;
     acc := 0.0;
     for i = 0 to n - 1 do
@@ -427,17 +288,21 @@ let evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p =
     incr sweeps
   done;
   if !change > tol then
-    raise (Sparse_failed "implicit: stationary sweep did not converge");
+    raise (Sweep_failed "implicit: stationary sweep did not converge");
   let gain = ref 0.0 in
   for i = 0 to n - 1 do
     gain := !gain +. (A1.unsafe_get pi i *. cost.(i))
   done;
   let gain = !gain in
-  (* Stage 2: the pinned bias system (v_ref = 0, gain known), rows
-     normalized by their exit rate — the same per-row-relative
-     residual test as the sparse path, with the same magnitude-scaled
-     tolerance.  Convergence here is advisory; acceptance is decided
-     by the exact-system verification below. *)
+  (* Stage 2: the pinned bias system (v_ref = 0, gain known).  Each
+     row is normalized by its exit rate, which leaves the iterates
+     untouched but makes the residual test per-row relative — the
+     big-M self-switch rates (1e6) put the raw residual's
+     floating-point floor far above any absolute tolerance worth
+     having.  The tolerance also scales with the system's magnitude
+     (the bias reaches 1e4 on deep queues).  Convergence here is
+     advisory; acceptance is decided by the exact-system verification
+     below. *)
   let v = Bvec.create n in
   let b_inf = ref 0.0 in
   for i = 0 to n - 1 do
@@ -477,8 +342,9 @@ let evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p =
     incr sweeps2
   done;
   Dpm_obs.Probe.add "policy_iteration.implicit_sweeps" (!sweeps + !sweeps2);
-  (* Verify against the exact relative-value equations — the same
-     acceptance threshold as the sparse path's one-mat-vec check. *)
+  (* Verify against the exact relative-value equations.  This also
+     catches multichain policies, where the stationary sweep converges
+     to the wrong chain's gain. *)
   let b_norm = ref 0.0 in
   for i = 0 to n - 1 do
     b_norm := Float.max !b_norm (Float.abs cost.(i))
@@ -496,7 +362,7 @@ let evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p =
   let accept = 1e-7 *. Float.max 1.0 !b_norm in
   if !verr > accept then
     raise
-      (Sparse_failed
+      (Sweep_failed
          (Printf.sprintf "implicit verification residual %g above %g" !verr
             accept));
   Dpm_trace.Provenance.note_residual !verr;
@@ -519,38 +385,34 @@ let evaluate_implicit ?(ref_state = 0) ?(tol = 1e-12) ?max_iter
       Dpm_obs.Probe.set "policy_iteration.eval_path" 2.0;
       Dpm_trace.Provenance.note_eval_path "implicit";
       e
-  | exception (Sparse_failed reason | Invalid_argument reason) ->
-      (* Multichain structure, absorbing states, non-convergence, or a
-         verification miss: fall through the existing ladder — the
-         sparse CSR reference first, dense LU behind it. *)
+  | exception (Sweep_failed reason | Invalid_argument reason) ->
+      (* Multichain structure, an absorbing state, non-convergence, or
+         a verification miss: answer exactly with dense LU instead. *)
       Logs.debug (fun k ->
-          k "implicit policy evaluation fell back to sparse: %s" reason);
-      Dpm_obs.Probe.incr "policy_iteration.implicit_fallbacks";
-      if Dpm_trace.Recorder.enabled () then
-        Dpm_trace.Recorder.instant "pi.implicit_fallback"
-          ~args:[ ("reason", Dpm_trace.Event.Str reason) ];
-      evaluate_sparse ~ref_state ~guard m p
-
-type eval_path = Dense | Sparse | Auto | Implicit
-
-(* Dense LU is O(n^3) but rock solid; the sparse sweeps win once the
-   composed state space outgrows the paper's instances.  The crossover
-   on the queue-capacity ablation sits around a few hundred states.
-   [Auto] deliberately never selects [Implicit]: the CSR sweeps stay
-   the default reference until the implicit path has equivalent
-   burn-in (DESIGN.md decision 13); callers opt in explicitly. *)
-let sparse_auto_threshold = 192
-
-let evaluate_auto ?ref_state ?guard ~path m p =
-  match path with
-  | Implicit -> evaluate_implicit ?ref_state ?guard m p
-  | Sparse -> evaluate_sparse ?ref_state ?guard m p
-  | Auto when Model.num_states m >= sparse_auto_threshold ->
-      evaluate_sparse ?ref_state ?guard m p
-  | Dense | Auto ->
+          k "sweep policy evaluation fell back to dense LU: %s" reason);
+      Dpm_obs.Probe.incr "policy_iteration.sparse_fallbacks";
       Dpm_obs.Probe.set "policy_iteration.eval_path" 0.0;
+      Dpm_trace.Provenance.note_sparse_fallback ();
       Dpm_trace.Provenance.note_eval_path "dense";
-      evaluate_robust ?ref_state m p
+      if Dpm_trace.Recorder.enabled () then
+        Dpm_trace.Recorder.instant "pi.sparse_fallback"
+          ~args:[ ("reason", Dpm_trace.Event.Str reason) ];
+      evaluate_robust ~ref_state m p
+
+(* Dense LU is O(n^3) but rock solid and wins on the paper's
+   instances; the sweeps win once the composed state space outgrows
+   them.  The crossover on the queue-capacity ablation sits around a
+   few hundred states. *)
+let sweep_threshold = 192
+
+let evaluate_auto ?ref_state ~guard m p =
+  if Model.num_states m >= sweep_threshold then
+    evaluate_implicit ?ref_state ~guard m p
+  else begin
+    Dpm_obs.Probe.set "policy_iteration.eval_path" 0.0;
+    Dpm_trace.Provenance.note_eval_path "dense";
+    evaluate_robust ?ref_state m p
+  end
 
 let test_quantity i (c : Model.choice) bias =
   (* c_i^a + sum_j s^a_ij v_j, with the diagonal folded in:
@@ -582,8 +444,7 @@ let improve m (eval : evaluation) ~incumbent =
   in
   (Policy.of_choice_indices m selection, !changed)
 
-let solve ?ref_state ?(max_iter = 1000) ?init ?(eval = Auto)
-    ?(guard = fun () -> ()) m =
+let solve ?ref_state ?(max_iter = 1000) ?init ?(guard = fun () -> ()) m =
   Dpm_obs.Span.with_ "policy_iteration" @@ fun () ->
   let t0 = Dpm_obs.Probe.now () in
   let origin =
@@ -600,7 +461,7 @@ let solve ?ref_state ?(max_iter = 1000) ?init ?(eval = Auto)
            max_iter);
     let evaluation =
       Dpm_obs.Probe.time "policy_iteration.eval_time_seconds" (fun () ->
-          evaluate_auto ?ref_state ~guard ~path:eval m policy)
+          evaluate_auto ?ref_state ~guard m policy)
     in
     let next, changed =
       Dpm_obs.Probe.time "policy_iteration.improve_time_seconds" (fun () ->

@@ -1,5 +1,4 @@
 open Dpm_linalg
-module A1 = Bigarray.Array1
 
 type result = {
   policy : Policy.t;
@@ -11,93 +10,8 @@ type result = {
   provenance : Dpm_trace.Provenance.t;
 }
 
-(* The implicit sweep: the model's choices are flattened once into
-   flat cost/rate arrays and the relative value iteration runs over
-   two Bigarray buffers, so a sweep allocates nothing.  Arithmetic is
-   kept in exactly the boxed path's order (same fold seed, same
-   association, same re-centering), so the two paths produce
-   bit-identical iterates — pinned by a test. *)
-let implicit_sweeps ~tol ~max_iter ~guard ~lam m v0 =
-  let n = Model.num_states m in
-  let total_choices = ref 0 in
-  let choice_start = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    total_choices := !total_choices + Model.num_choices m i;
-    choice_start.(i + 1) <- !total_choices
-  done;
-  let nc = !total_choices in
-  let ccost = Array.make nc 0.0 in
-  let crow_start = Array.make (nc + 1) 0 in
-  let nnz = ref 0 in
-  for i = 0 to n - 1 do
-    for k = 0 to Model.num_choices m i - 1 do
-      let c = Model.choice m i k in
-      let idx = choice_start.(i) + k in
-      ccost.(idx) <- c.Model.cost;
-      nnz := !nnz + List.length c.Model.rates;
-      crow_start.(idx + 1) <- !nnz
-    done
-  done;
-  let ccol = Array.make (max 1 !nnz) 0 in
-  let crate = Array.make (max 1 !nnz) 0.0 in
-  let fill = ref 0 in
-  for i = 0 to n - 1 do
-    for k = 0 to Model.num_choices m i - 1 do
-      let c = Model.choice m i k in
-      List.iter
-        (fun (j, r) ->
-          ccol.(!fill) <- j;
-          crate.(!fill) <- r;
-          incr fill)
-        c.Model.rates
-    done
-  done;
-  let v = Bvec.of_vec v0 in
-  let next = Bvec.create n in
-  let backup c i =
-    (* Same seed and association as the boxed fold:
-       c/L + v(i) + sum_j (r/L) (v(j) - v(i)), left to right. *)
-    let vi = A1.unsafe_get v i in
-    let acc = ref ((ccost.(c) /. lam) +. vi) in
-    for e = crow_start.(c) to crow_start.(c + 1) - 1 do
-      acc :=
-        !acc +. (crate.(e) /. lam *. (A1.unsafe_get v ccol.(e) -. vi))
-    done;
-    !acc
-  in
-  let iterations = ref 0 in
-  let lower = ref neg_infinity and upper = ref infinity in
-  let converged = ref false in
-  while (not !converged) && !iterations < max_iter do
-    guard ();
-    for i = 0 to n - 1 do
-      let c0 = choice_start.(i) in
-      let best = ref (backup c0 i) in
-      for c = c0 + 1 to choice_start.(i + 1) - 1 do
-        best := Float.min !best (backup c i)
-      done;
-      A1.unsafe_set next i !best
-    done;
-    let lo = ref infinity and hi = ref neg_infinity in
-    for i = 0 to n - 1 do
-      let d = A1.unsafe_get next i -. A1.unsafe_get v i in
-      lo := Float.min !lo d;
-      hi := Float.max !hi d
-    done;
-    lower := lam *. !lo;
-    upper := lam *. !hi;
-    let offset = A1.unsafe_get next 0 in
-    for i = 0 to n - 1 do
-      A1.unsafe_set v i (A1.unsafe_get next i -. offset)
-    done;
-    incr iterations;
-    if !hi -. !lo < tol then converged := true
-  done;
-  Dpm_obs.Probe.add "value_iteration.implicit_sweeps" !iterations;
-  (Bvec.to_vec v, !iterations, !lower, !upper, !converged)
-
 let solve ?(tol = 1e-9) ?(max_iter = 1_000_000) ?init_values
-    ?(guard = fun () -> ()) ?(eval = Policy_iteration.Auto) m =
+    ?(guard = fun () -> ()) m =
   Dpm_obs.Span.with_ "value_iteration" @@ fun () ->
   let t0 = Dpm_obs.Probe.now () in
   let origin =
@@ -136,42 +50,33 @@ let solve ?(tol = 1e-9) ?(max_iter = 1_000_000) ?init_values
         let offset = v0.(0) in
         Vec.init n (fun i -> v0.(i) -. offset)
   in
-  let values, iterations, lower, upper, converged, eval_path =
-    match eval with
-    | Policy_iteration.Implicit ->
-        let values, iterations, lower, upper, converged =
-          implicit_sweeps ~tol ~max_iter ~guard ~lam m v0
-        in
-        (values, iterations, lower, upper, converged, "uniformized-implicit")
-    | Policy_iteration.Dense | Policy_iteration.Sparse | Policy_iteration.Auto
-      ->
-        let v = ref v0 in
-        let iterations = ref 0 in
-        let lower = ref neg_infinity and upper = ref infinity in
-        let converged = ref false in
-        while (not !converged) && !iterations < max_iter do
-          guard ();
-          let next =
-            Vec.init n (fun i ->
-                let best = ref (backup !v i 0) in
-                for k = 1 to Model.num_choices m i - 1 do
-                  best := Float.min !best (backup !v i k)
-                done;
-                !best)
-          in
-          let diff = Vec.sub next !v in
-          let span = Vec.span diff in
-          (* Per-step gain bounds; scale by lam for continuous time. *)
-          lower := lam *. Array.fold_left Float.min infinity diff;
-          upper := lam *. Array.fold_left Float.max neg_infinity diff;
-          (* Keep values bounded by re-centering on state 0. *)
-          let offset = next.(0) in
-          v := Vec.map (fun x -> x -. offset) next;
-          incr iterations;
-          if span < tol then converged := true
-        done;
-        (!v, !iterations, !lower, !upper, !converged, "uniformized")
-  in
+  let v = ref v0 in
+  let iterations = ref 0 in
+  let lower = ref neg_infinity and upper = ref infinity in
+  let converged = ref false in
+  while (not !converged) && !iterations < max_iter do
+    guard ();
+    let next =
+      Vec.init n (fun i ->
+          let best = ref (backup !v i 0) in
+          for k = 1 to Model.num_choices m i - 1 do
+            best := Float.min !best (backup !v i k)
+          done;
+          !best)
+    in
+    let diff = Vec.sub next !v in
+    let span = Vec.span diff in
+    (* Per-step gain bounds; scale by lam for continuous time. *)
+    lower := lam *. Array.fold_left Float.min infinity diff;
+    upper := lam *. Array.fold_left Float.max neg_infinity diff;
+    (* Keep values bounded by re-centering on state 0. *)
+    let offset = next.(0) in
+    v := Vec.map (fun x -> x -. offset) next;
+    incr iterations;
+    if span < tol then converged := true
+  done;
+  let values = !v and iterations = !iterations in
+  let lower = !lower and upper = !upper and converged = !converged in
   Dpm_obs.Probe.incr "value_iteration.solves";
   Dpm_obs.Probe.add "value_iteration.iterations" iterations;
   Dpm_obs.Probe.set "value_iteration.gain_span" (upper -. lower);
@@ -200,5 +105,5 @@ let solve ?(tol = 1e-9) ?(max_iter = 1_000_000) ?init_values
        Dpm_trace.Provenance.of_counts ~method_:"value_iteration"
          ~iterations ~origin
          ~wall_s:(Dpm_obs.Probe.now () -. t0)
-         ~eval_path ~residual:(upper -. lower) counts);
+         ~eval_path:"uniformized" ~residual:(upper -. lower) counts);
   }

@@ -19,45 +19,13 @@ let default_init n = function
       Vec.copy v
   | None -> Vec.make n (1.0 /. float_of_int n)
 
-let power_method ?(tol = 1e-12) ?(max_iter = 100_000) ?(guard = fun () -> ())
-    ?init p =
-  let n = Sparse.rows p in
-  if Sparse.cols p <> n then invalid_arg "Iterative.power_method: not square";
-  let x = ref (Vec.normalize1 (default_init n init)) in
-  let iterations = ref 0 and change = ref infinity in
-  while !change > tol && !iterations < max_iter do
-    guard ();
-    let next = Vec.normalize1 (Sparse.vec_mul !x p) in
-    change := Vec.norm1 (Vec.sub next !x);
-    observe_residual !change;
-    x := next;
-    incr iterations
-  done;
-  count_sweeps !iterations;
-  {
-    solution = !x;
-    iterations = !iterations;
-    residual = !change;
-    converged = !change <= tol;
-  }
-
-let diagonal_of name q =
-  let n = Sparse.rows q in
-  let d = Vec.create n in
-  Sparse.iter q (fun i j x -> if i = j then d.(i) <- x);
-  Array.iteri
-    (fun i x ->
-      if x = 0.0 then
-        invalid_arg (Printf.sprintf "Iterative.%s: zero diagonal at row %d" name i))
-    d;
-  d
-
 let gauss_seidel_steady ?(tol = 1e-12) ?(max_iter = 100_000)
     ?(guard = fun () -> ()) ?init q =
   let n = Sparse.rows q in
   if Sparse.cols q <> n then
     invalid_arg "Iterative.gauss_seidel_steady: not square";
-  let diag = diagonal_of "gauss_seidel_steady" q in
+  let diag = Vec.create n in
+  Sparse.iter q (fun i j x -> if i = j then diag.(i) <- x);
   Array.iteri
     (fun i x ->
       if x >= 0.0 then
@@ -106,73 +74,3 @@ let gauss_seidel_steady ?(tol = 1e-12) ?(max_iter = 100_000)
     residual;
     converged = !change <= tol;
   }
-
-(* Updates write through preallocated buffers: [~src] is the current
-   iterate, [~dst] a scratch vector the update may use, and the
-   returned array is the new iterate (Jacobi returns [dst], the
-   in-place Gauss-Seidel returns [src]).  Iterate values are bitwise
-   those of the historical allocating versions. *)
-let linear_sweep_solver name update ?(tol = 1e-10) ?(max_iter = 100_000)
-    ?(guard = fun () -> ()) ?init a b =
-  let n = Sparse.rows a in
-  if Sparse.cols a <> n then
-    invalid_arg (Printf.sprintf "Iterative.%s: not square" name);
-  if Vec.dim b <> n then
-    invalid_arg (Printf.sprintf "Iterative.%s: rhs dimension mismatch" name);
-  let diag = diagonal_of name a in
-  let x = ref (match init with Some v -> Vec.copy v | None -> Vec.create n) in
-  let scratch = ref (Vec.create n) in
-  let ax = Vec.create n in
-  let iterations = ref 0 and residual = ref infinity in
-  while !residual > tol && !iterations < max_iter do
-    guard ();
-    let next = update a b diag ~src:!x ~dst:!scratch in
-    if next != !x then begin
-      scratch := !x;
-      x := next
-    end;
-    Sparse.mul_vec_into a !x ~dst:ax;
-    let r = ref 0.0 in
-    for i = 0 to n - 1 do
-      r := Float.max !r (Float.abs (ax.(i) -. b.(i)))
-    done;
-    residual := !r;
-    observe_residual !residual;
-    incr iterations
-  done;
-  count_sweeps !iterations;
-  {
-    solution = !x;
-    iterations = !iterations;
-    residual = !residual;
-    converged = !residual <= tol;
-  }
-
-let jacobi_update a b diag ~src ~dst =
-  let acc = ref 0.0 in
-  for i = 0 to Vec.dim src - 1 do
-    acc := b.(i);
-    Sparse.iter_row a i (fun j aij -> if j <> i then acc := !acc -. (aij *. src.(j)));
-    dst.(i) <- !acc /. diag.(i)
-  done;
-  dst
-
-(* In-place: reading [src.(j)] picks up updated values for [j < i] and
-   the previous sweep's for [j > i] — exactly what the historical
-   copy-then-update version computed. *)
-let gauss_seidel_update a b diag ~src ~dst:_ =
-  let acc = ref 0.0 in
-  for i = 0 to Vec.dim src - 1 do
-    acc := b.(i);
-    Sparse.iter_row a i (fun j aij ->
-        if j <> i then acc := !acc -. (aij *. src.(j)));
-    src.(i) <- !acc /. diag.(i)
-  done;
-  src
-
-let jacobi ?tol ?max_iter ?guard ?init a b =
-  linear_sweep_solver "jacobi" jacobi_update ?tol ?max_iter ?guard ?init a b
-
-let gauss_seidel ?tol ?max_iter ?guard ?init a b =
-  linear_sweep_solver "gauss_seidel" gauss_seidel_update ?tol ?max_iter ?guard
-    ?init a b

@@ -1,34 +1,22 @@
-(** Iterative solvers for sparse systems.
+(** Iterative stationary solver for sparse CTMC generators.
 
-    The dense LU path covers the paper's instance sizes; the
-    queue-capacity ablation and any large composed model run through
-    these matrix-free style iterations instead.  All iterations report
+    GTH elimination covers the paper's instance sizes; large composed
+    chains run through these sweeps instead.  The solver reports
     convergence through the {!result} record rather than raising, so
-    callers can decide how to treat a hit iteration cap.
+    callers can decide how to treat a hit iteration cap.  The
+    {!result} record is shared with the matrix-free
+    {!Operator.gauss_seidel_steady}.
 
-    Every solver takes an optional [guard] callback, invoked once at
-    the top of each sweep; it may raise to abort the iteration — the
+    The solver takes an optional [guard] callback, invoked once at the
+    top of each sweep; it may raise to abort the iteration — the
     wall-clock-deadline hook threaded down by [Dpm_robust]. *)
 
 type result = {
   solution : Vec.t;  (** last iterate *)
   iterations : int;  (** sweeps performed *)
-  residual : float;  (** final convergence measure (see each solver) *)
+  residual : float;  (** final convergence measure (see the solver) *)
   converged : bool;  (** whether [residual <= tol] was reached *)
 }
-
-val power_method :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?guard:(unit -> unit) ->
-  ?init:Vec.t ->
-  Sparse.t ->
-  result
-(** [power_method p] iterates [x <- x P] on a row-stochastic matrix
-    [p] until the L1 change falls below [tol] (default [1e-12]), from
-    [init] (default uniform).  The iterate is renormalized to sum 1
-    every sweep, so the fixed point is the stationary distribution of
-    the chain.  [residual] is the last L1 change. *)
 
 val gauss_seidel_steady :
   ?tol:float ->
@@ -43,26 +31,3 @@ val gauss_seidel_steady :
     entries must be strictly negative (every state has an exit);
     a zero diagonal raises [Invalid_argument].  [residual] is
     [norm_inf (p q)] of the final normalized iterate. *)
-
-val jacobi :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?guard:(unit -> unit) ->
-  ?init:Vec.t ->
-  Sparse.t ->
-  Vec.t ->
-  result
-(** [jacobi a b] solves [a x = b] by Jacobi iteration (requires a
-    nonzero diagonal; raises [Invalid_argument] otherwise).
-    [residual] is [norm_inf (a x - b)]. *)
-
-val gauss_seidel :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?guard:(unit -> unit) ->
-  ?init:Vec.t ->
-  Sparse.t ->
-  Vec.t ->
-  result
-(** [gauss_seidel a b] solves [a x = b] by forward Gauss-Seidel
-    sweeps; same diagonal requirement and residual as {!jacobi}. *)

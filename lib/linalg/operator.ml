@@ -285,19 +285,6 @@ let matvec op x ~dst =
     Array1.unsafe_set dst i !acc
   done
 
-(* Residual max_i |(op x)_i - b_i| off the live iterate; shares the
-   accumulator-closure pattern with [matvec] (not counted as one). *)
-let residual_against op x b =
-  let acc = ref 0.0 in
-  let f j a = acc := !acc +. (a *. Array1.unsafe_get x j) in
-  let r = ref 0.0 in
-  for i = 0 to rows op - 1 do
-    acc := 0.0;
-    iter_row op i f;
-    r := Float.max !r (Float.abs (!acc -. Array.unsafe_get b i))
-  done;
-  !r
-
 let nonzero_diagonal name op =
   let d = diagonal op in
   Array.iteri
@@ -327,55 +314,6 @@ let check_order name n = function
           seen.(i) <- true)
         order;
       order
-
-let gauss_seidel ?(tol = 1e-10) ?(max_iter = 100_000) ?(guard = fun () -> ())
-    ?init ?order op b =
-  require_square "gauss_seidel" op;
-  let n = rows op in
-  if Vec.dim b <> n then
-    invalid_arg "Operator.gauss_seidel: rhs dimension mismatch";
-  let order = check_order "gauss_seidel" n order in
-  let d = nonzero_diagonal "gauss_seidel" op in
-  let x =
-    match init with
-    | Some v ->
-        if Vec.dim v <> n then
-          invalid_arg "Operator.gauss_seidel: init dimension mismatch";
-        Bvec.of_vec v
-    | None -> Bvec.create n
-  in
-  (* The row sum accumulates every emitted entry, including the
-     (possibly repeated) diagonal; subtracting [d_i * x_i] afterwards
-     recovers the off-diagonal sum Gauss-Seidel needs. *)
-  let acc = ref 0.0 in
-  let f j a = acc := !acc +. (a *. Array1.unsafe_get x j) in
-  let update i =
-    let xi = Array1.unsafe_get x i in
-    acc := 0.0;
-    iter_row op i f;
-    let off = !acc -. (Array.unsafe_get d i *. xi) in
-    Array1.unsafe_set x i ((Array.unsafe_get b i -. off) /. Array.unsafe_get d i)
-  in
-  let iterations = ref 0 and residual = ref infinity in
-  while !residual > tol && !iterations < max_iter do
-    guard ();
-    (* Symmetric sweep along [order] — see [gauss_seidel_steady]. *)
-    for k = 0 to n - 1 do
-      update (Array.unsafe_get order k)
-    done;
-    for k = n - 1 downto 0 do
-      update (Array.unsafe_get order k)
-    done;
-    residual := residual_against op x b;
-    incr iterations
-  done;
-  count_sweeps !iterations;
-  {
-    Iterative.solution = Bvec.to_vec x;
-    iterations = !iterations;
-    residual = !residual;
-    converged = !residual <= tol;
-  }
 
 let gauss_seidel_steady ?(tol = 1e-12) ?(max_iter = 100_000)
     ?(guard = fun () -> ()) ?init ?order op =

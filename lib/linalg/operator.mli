@@ -9,8 +9,8 @@
     small factor blocks plus the combinators ([Kron_prod], [Kron_sum],
     [Sum], [Scaled], [Shifted], block grids), and exposes exactly the
     access patterns iterative solvers need — row iteration, mat-vec
-    into a preallocated {!Bvec.t}, and Gauss-Seidel sweeps that walk
-    the Kronecker factors directly.  Storage is the sum of the factor
+    into a preallocated {!Bvec.t}, and stationary Gauss-Seidel sweeps
+    that walk the Kronecker factors directly.  Storage is the sum of the factor
     sizes (typically O(|S|{^2} + Q) against O(|S|·Q) expanded nonzeros),
     and no per-sweep allocation occurs.
 
@@ -20,8 +20,7 @@
     of {!iter_row} must do the same.
 
     Probe counters: [operator.matvecs] (calls to {!matvec}),
-    [operator.sweeps] (Gauss-Seidel sweeps executed by {!gauss_seidel}
-    and {!gauss_seidel_steady}). *)
+    [operator.sweeps] (sweeps executed by {!gauss_seidel_steady}). *)
 
 type t
 (** A lazy linear operator over flat float64 state vectors. *)
@@ -117,27 +116,6 @@ val matvec : t -> Bvec.t -> dst:Bvec.t -> unit
 (** [matvec op x ~dst] stores [op x] in [dst] without allocating;
     [dst] must not alias [x].  Raises [Invalid_argument] on dimension
     mismatch.  Counted on [operator.matvecs]. *)
-
-val gauss_seidel :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?guard:(unit -> unit) ->
-  ?init:Vec.t ->
-  ?order:int array ->
-  t ->
-  Vec.t ->
-  Iterative.result
-(** [gauss_seidel op b] solves [op x = b] by symmetric Gauss-Seidel
-    sweeps walking {!iter_row} directly — same stopping rule,
-    residual, and result record as {!Iterative.gauss_seidel} ([tol]
-    default 1e-10 on the sup-norm residual, [max_iter] default 1e5,
-    [guard] invoked before each sweep), but with no materialized
-    matrix and no per-sweep allocation.  One iteration updates every
-    row along [order] (default: index order; must be a permutation of
-    the rows, [Invalid_argument] otherwise), then again in reverse —
-    see {!gauss_seidel_steady} for why the order matters.  The
-    accumulated diagonal must be nonzero ([Invalid_argument]
-    otherwise). *)
 
 val gauss_seidel_steady :
   ?tol:float ->

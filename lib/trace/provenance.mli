@@ -66,7 +66,8 @@ val note_tikhonov_rung : unit -> unit
 (** Tick the Tikhonov-regularization rung count. *)
 
 val note_sparse_fallback : unit -> unit
-(** Tick the sparse-to-dense evaluation fallback count. *)
+(** Tick the count of policy evaluations the sweeps handed to dense LU
+    (the field keeps its historical name). *)
 
 val note_fault : unit -> unit
 (** Tick the injected-fault count (called by [Dpm_robust.Fault]). *)
@@ -78,7 +79,7 @@ val note_residual : float -> unit
 (** Record the most recent convergence residual. *)
 
 val note_eval_path : string -> unit
-(** Record which evaluation path ran (e.g. ["dense"], ["sparse"]). *)
+(** Record which evaluation path ran (e.g. ["dense"], ["implicit"]). *)
 
 val of_counts :
   method_:string ->

@@ -133,27 +133,6 @@ let storage_accounting () =
   Alcotest.(check bool) "bound dominates expansion" true
     (Sparse.nnz (Operator.to_sparse ks) <= Operator.materialized_nnz ks)
 
-let gauss_seidel_matches_iterative () =
-  (* Diagonally dominant system solved both ways. *)
-  let a =
-    Matrix.of_arrays
-      [|
-        [| 4.0; -1.0; 0.0; -1.0 |];
-        [| -1.0; 5.0; -2.0; 0.0 |];
-        [| 0.0; -2.0; 6.0; -1.0 |];
-        [| -1.0; 0.0; -1.0; 4.5 |];
-      |]
-  in
-  let b = [| 1.0; -2.0; 3.0; 0.5 |] in
-  let reference = Iterative.gauss_seidel (Sparse.of_dense a) b in
-  let implicit = Operator.gauss_seidel (Operator.dense a) b in
-  Alcotest.(check bool) "reference converged" true
-    reference.Iterative.converged;
-  Alcotest.(check bool) "implicit converged" true implicit.Iterative.converged;
-  Alcotest.(check bool) "solutions agree" true
-    (Vec.approx_equal ~tol:1e-8 reference.Iterative.solution
-       implicit.Iterative.solution)
-
 let steady_matches_iterative () =
   let sys = Paper_instance.system () in
   let action = Paper_instance.active in
@@ -190,8 +169,6 @@ let suite =
     Alcotest.test_case "blocks and transpose" `Quick blocks_and_transpose;
     Alcotest.test_case "matvec and get" `Quick matvec_and_get;
     Alcotest.test_case "storage accounting" `Quick storage_accounting;
-    Alcotest.test_case "gauss_seidel matches Iterative" `Quick
-      gauss_seidel_matches_iterative;
     Alcotest.test_case "steady state matches Iterative" `Quick
       steady_matches_iterative;
     Alcotest.test_case "SYS operator = uniform generator" `Quick

@@ -186,6 +186,10 @@ let eval_close label (a : Dpm_ctmdp.Policy_iteration.evaluation)
        b.Dpm_ctmdp.Policy_iteration.bias)
 
 let sparse_matches_dense () =
+  (* The matrix-free sweep evaluator against dense LU, called directly
+     (below the solver's 192-state threshold).  At least one policy
+     must really be answered by the sweeps, so the comparison is not
+     dense LU against itself. *)
   let sys = Paper_instance.system () in
   let m = Sys_model.to_ctmdp sys ~weight:1.0 in
   let policies =
@@ -198,17 +202,35 @@ let sparse_matches_dense () =
       ("optimal", (Dpm_ctmdp.Policy_iteration.solve m).Dpm_ctmdp.Policy_iteration.policy);
     ]
   in
-  List.iter
-    (fun (name, p) ->
-      eval_close name
-        (Dpm_ctmdp.Policy_iteration.evaluate_sparse m p)
-        (Dpm_ctmdp.Policy_iteration.evaluate_robust m p))
-    policies
+  let swept =
+    List.filter
+      (fun (name, p) ->
+        let e, counts =
+          Dpm_trace.Provenance.collect (fun () ->
+              Dpm_ctmdp.Policy_iteration.evaluate_implicit m p)
+        in
+        eval_close name e (Dpm_ctmdp.Policy_iteration.evaluate_robust m p);
+        counts.Dpm_trace.Provenance.sparse_fallbacks = 0)
+      policies
+  in
+  Alcotest.(check bool) "the sweeps answered some policy" true (swept <> [])
+
+(* Policy iteration driven by dense LU alone: the reference the
+   solver's sweep-evaluated iterations must reproduce. *)
+let dense_policy_iteration m =
+  let module Pi = Dpm_ctmdp.Policy_iteration in
+  let rec loop p =
+    let e = Pi.evaluate_robust m p in
+    let next, changed = Pi.improve m e ~incumbent:p in
+    if changed = 0 then (p, e.Pi.gain) else loop next
+  in
+  loop (Dpm_ctmdp.Policy.uniform_first m)
 
 let solve_paths_agree () =
-  (* The full optimization must land on the same policy and gain
-     whichever evaluation backend drives it — on the paper instance
-     and on a larger composed space where Auto picks sparse. *)
+  (* The full optimization must land on the same policy and gain as
+     all-dense policy iteration — on the paper instance (dense below
+     the threshold) and on a 259-state composed space, where the sweeps
+     evaluate. *)
   List.iter
     (fun q ->
       let sys =
@@ -217,57 +239,49 @@ let solve_paths_agree () =
           ~queue_capacity:q ~arrival_rate:(1.0 /. 6.0) ()
       in
       let m = Sys_model.to_ctmdp sys ~weight:1.0 in
-      let dense = Dpm_ctmdp.Policy_iteration.solve ~eval:Dense m in
-      let sparse = Dpm_ctmdp.Policy_iteration.solve ~eval:Sparse m in
-      let auto = Dpm_ctmdp.Policy_iteration.solve ~eval:Auto m in
-      let implicit = Dpm_ctmdp.Policy_iteration.solve ~eval:Implicit m in
+      let solved = Dpm_ctmdp.Policy_iteration.solve m in
+      let dense_policy, dense_gain = dense_policy_iteration m in
       Alcotest.(check bool)
         (Printf.sprintf "gain agrees (Q=%d)" q)
         true
-        (Float.abs
-           (dense.Dpm_ctmdp.Policy_iteration.gain
-           -. sparse.Dpm_ctmdp.Policy_iteration.gain)
-        < 1e-6
-        && Float.abs
-             (dense.Dpm_ctmdp.Policy_iteration.gain
-             -. auto.Dpm_ctmdp.Policy_iteration.gain)
-           < 1e-6
-        && Float.abs
-             (dense.Dpm_ctmdp.Policy_iteration.gain
-             -. implicit.Dpm_ctmdp.Policy_iteration.gain)
-           < 1e-6);
+        (Float.abs (dense_gain -. solved.Dpm_ctmdp.Policy_iteration.gain) < 1e-6);
       Alcotest.(check bool)
         (Printf.sprintf "policy agrees (Q=%d)" q)
         true
-        (Dpm_ctmdp.Policy.actions m dense.Dpm_ctmdp.Policy_iteration.policy
-        = Dpm_ctmdp.Policy.actions m sparse.Dpm_ctmdp.Policy_iteration.policy
-        && Dpm_ctmdp.Policy.actions m sparse.Dpm_ctmdp.Policy_iteration.policy
-           = Dpm_ctmdp.Policy.actions m
-               implicit.Dpm_ctmdp.Policy_iteration.policy))
-    [ 5; 40 ]
+        (Dpm_ctmdp.Policy.actions m dense_policy
+        = Dpm_ctmdp.Policy.actions m solved.Dpm_ctmdp.Policy_iteration.policy))
+    [ 5; 64 ]
 
 let implicit_domains_bit_identical () =
-  (* Implicit-path solves fanned out over a domain pool must be
-     bit-identical to the sequential run — the Dpm_par determinism
-     contract extended to the new evaluation backend.  Cache capacity
-     0 so every domain count really solves. *)
-  let sys = Paper_instance.system () in
-  let weights = [| 0.1; 0.5; 1.0; 2.0; 5.0; 10.0 |] in
+  (* Solves large enough for the sweep evaluator (Q=64, 259 states),
+     fanned out over a domain pool, must be bit-identical to the
+     sequential run — the Dpm_par determinism contract on the sweep
+     backend.  Cache capacity 0 so every domain count really solves. *)
+  let sys =
+    Sys_model.create
+      ~sp:(Paper_instance.service_provider ())
+      ~queue_capacity:64 ~arrival_rate:Paper_instance.arrival_rate ()
+  in
+  let weights = [| 0.5; 1.0; 2.0; 5.0 |] in
+  let solve weight = Optimize.solve ~weight sys in
   let run d =
     Dpm_cache.Solve_cache.with_capacity 0 @@ fun () ->
-    Array.map Test_util.strip_provenance
-      (Dpm_par.parallel_map ~domains:d
-         (fun weight ->
-           Optimize.solve ~weight ~eval:Dpm_ctmdp.Policy_iteration.Implicit sys)
-         weights)
+    Dpm_par.parallel_map ~domains:d solve weights
   in
   let reference = run 1 in
+  Array.iter
+    (fun (s : Optimize.solution) ->
+      let p = s.Optimize.provenance in
+      if p.Dpm_trace.Provenance.sparse_fallbacks >= p.Dpm_trace.Provenance.iterations
+      then Alcotest.failf "w=%g: no iteration was evaluated by the sweeps" s.Optimize.weight)
+    reference;
+  let reference = Array.map Test_util.strip_provenance reference in
   List.iter
     (fun d ->
       Alcotest.(check bool)
         (Printf.sprintf "bit-identical implicit solutions, %d domains" d)
         true
-        (run d = reference))
+        (Array.map Test_util.strip_provenance (run d) = reference))
     [ 2; 4 ]
 
 let suite =

@@ -57,46 +57,9 @@ let single_action_model_evaluates () =
     (r.Value_iteration.gain_lower <= 5.0 +. 1e-6
     && 5.0 -. 1e-6 <= r.Value_iteration.gain_upper)
 
-let implicit_kernel_bit_identical () =
-  (* The flattened Bigarray sweep kernel performs the same arithmetic
-     in the same order as the boxed reference, so everything — values,
-     bounds, policy, iteration count — must match bitwise, not merely
-     within tolerance.  Checked on the small speed-control model and
-     on a composed paper system. *)
-  let check label m =
-    let reference = Value_iteration.solve ~tol:1e-10 m in
-    let implicit =
-      Value_iteration.solve ~tol:1e-10 ~eval:Policy_iteration.Implicit m
-    in
-    Alcotest.(check bool)
-      (label ^ ": bit-identical values")
-      true
-      (reference.Value_iteration.values = implicit.Value_iteration.values);
-    Alcotest.(check bool)
-      (label ^ ": identical bounds")
-      true
-      (reference.Value_iteration.gain_lower
-       = implicit.Value_iteration.gain_lower
-      && reference.Value_iteration.gain_upper
-         = implicit.Value_iteration.gain_upper);
-    Alcotest.(check int)
-      (label ^ ": identical sweep count")
-      reference.Value_iteration.iterations implicit.Value_iteration.iterations;
-    Alcotest.(check bool)
-      (label ^ ": identical policy")
-      true
-      (Policy.actions m reference.Value_iteration.policy
-      = Policy.actions m implicit.Value_iteration.policy)
-  in
-  check "speed-control" (speed_control ~holding:2.0 ~fast_cost:3.0);
-  let sys = Dpm_core.Paper_instance.system () in
-  check "paper instance" (Dpm_core.Sys_model.to_ctmdp sys ~weight:1.0)
-
 let suite =
   [
     t "agrees with policy iteration" `Quick agrees_with_policy_iteration;
-    t "implicit sweep kernel is bit-identical" `Quick
-      implicit_kernel_bit_identical;
     t "bounds tighten with tol" `Quick bounds_tighten;
     t "iteration cap" `Quick iteration_cap_respected;
     t "single-action evaluation" `Quick single_action_model_evaluates;
