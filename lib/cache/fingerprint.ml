@@ -54,18 +54,22 @@ let model m =
   encode_model buf m;
   Buffer.contents buf
 
+let magic = "dpmc2"
+
 let key m =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "dpmc2";
+  Buffer.add_string buf magic;
   encode_model buf m;
   Buffer.contents buf
 
-let hash64 s =
+(* FNV-1a over [s] from byte [pos] on. *)
+let fnv1a ~pos s =
   let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+  for i = pos to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) prime
+  done;
   !h
 
-let model_hash m = hash64 (model m)
+let key_hash k = fnv1a ~pos:(String.length magic) k
+let model_hash m = fnv1a ~pos:0 (model m)

@@ -27,8 +27,10 @@ val key : Dpm_ctmdp.Model.t -> string
     cache hit is collision-proof — the 64-bit hash below is only a
     diagnostic digest. *)
 
-val hash64 : string -> int64
-(** FNV-1a 64-bit hash of an arbitrary string. *)
+val key_hash : string -> int64
+(** [key_hash (key m) = model_hash m], computed from the key without
+    re-encoding the model — the solve pipeline's provenance digest. *)
 
 val model_hash : Dpm_ctmdp.Model.t -> int64
-(** [hash64 (model m)] — a compact digest for logs and tests. *)
+(** The FNV-1a 64-bit hash of [model m] — a compact digest for logs,
+    provenance and tests. *)

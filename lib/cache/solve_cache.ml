@@ -41,61 +41,70 @@ let publish c =
     (if lookups = 0 then 0.0
      else float_of_int s.Lru.hits /. float_of_int lookups)
 
-let find m =
-  let c = !cache in
-  if Lru.capacity c = 0 then None
-  else begin
-    let key = Fingerprint.key m in
-    let hit =
-      match Lru.find c key with
-      | None -> None
-      | Some e -> (
-          (* Rebuild the policy for this model instance; a label the
-             model does not offer means a fingerprint collision (or a
-             caller bug) — treat it as a miss rather than serve a
-             wrong policy. *)
-          match Policy.of_actions m e.actions with
-          | policy ->
-              Some
-                {
-                  e.result with
-                  Pi.policy;
-                  Pi.bias = Dpm_linalg.Vec.copy e.result.Pi.bias;
-                }
-          | exception Invalid_argument _ -> None)
-    in
-    Probe.incr (if hit = None then "cache.misses" else "cache.hits");
-    if Dpm_trace.Recorder.enabled () then
-      Dpm_trace.Recorder.instant
-        (if hit = None then "cache.miss" else "cache.hit")
-        ~args:
-          [
-            ( "fingerprint",
-              Dpm_trace.Event.Str
-                (Printf.sprintf "%016Lx" (Fingerprint.hash64 key)) );
-          ];
-    publish c;
-    hit
-  end
+(* Lookup against an already-encoded key.  A hit rebuilds the policy
+   for this model instance; a label the model does not offer means a
+   fingerprint collision (or a caller bug) — treat it as a miss rather
+   than serve a wrong policy. *)
+let find c key m ~fingerprint =
+  let hit =
+    match Lru.find c key with
+    | None -> None
+    | Some e -> (
+        match Policy.of_actions m e.actions with
+        | policy ->
+            Some
+              {
+                e.result with
+                Pi.policy;
+                Pi.bias = Dpm_linalg.Vec.copy e.result.Pi.bias;
+              }
+        | exception Invalid_argument _ -> None)
+  in
+  Probe.incr (if hit = None then "cache.misses" else "cache.hits");
+  if Dpm_trace.Recorder.enabled () then
+    Dpm_trace.Recorder.instant
+      (if hit = None then "cache.miss" else "cache.hit")
+      ~args:
+        [
+          ( "fingerprint",
+            Dpm_trace.Event.Str (Printf.sprintf "%016Lx" fingerprint) );
+        ];
+  publish c;
+  hit
 
-let store m (result : Pi.result) =
-  let c = !cache in
-  if Lru.capacity c > 0 then begin
-    let entry =
-      {
-        actions = Policy.actions m result.Pi.policy;
-        result = { result with Pi.bias = Dpm_linalg.Vec.copy result.Pi.bias };
-      }
-    in
-    if Lru.add c (Fingerprint.key m) entry then
-      Probe.incr "cache.evictions";
-    publish c
-  end
+let store c key m (result : Pi.result) =
+  let entry =
+    {
+      actions = Policy.actions m result.Pi.policy;
+      result = { result with Pi.bias = Dpm_linalg.Vec.copy result.Pi.bias };
+    }
+  in
+  if Lru.add c key entry then Probe.incr "cache.evictions";
+  publish c
 
-let solve ?init ?guard m =
-  match find m with
-  | Some result -> result
-  | None ->
-      let result = Pi.solve ?init ?guard m in
-      store m result;
-      result
+let solve m ~miss =
+  let t0 = Probe.now () in
+  let c = !cache in
+  let key = Fingerprint.key m in
+  let fingerprint = Fingerprint.key_hash key in
+  let stamp ~origin (r : Pi.result) =
+    {
+      r with
+      Pi.provenance =
+        {
+          r.Pi.provenance with
+          Dpm_trace.Provenance.fingerprint;
+          origin;
+          wall_s = Probe.now () -. t0;
+        };
+    }
+  in
+  let enabled = Lru.capacity c > 0 in
+  match if enabled then find c key m ~fingerprint else None with
+  | Some r -> Ok (stamp ~origin:Dpm_trace.Provenance.Cache_hit r)
+  | None -> (
+      match miss () with
+      | Error _ as e -> e
+      | Ok r ->
+          if enabled then store c key m r;
+          Ok (stamp ~origin:r.Pi.provenance.Dpm_trace.Provenance.origin r))

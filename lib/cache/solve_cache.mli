@@ -1,7 +1,7 @@
 (** The process-wide policy-iteration result cache.
 
-    Memoizes {!Dpm_ctmdp.Policy_iteration.solve} results keyed on the
-    {!Fingerprint} of the model.  Entries
+    Memoizes policy-iteration results keyed on the {!Fingerprint} of
+    the model.  Entries
     store action {e labels}, not a [Policy.t]: a policy's internal
     choice indices are only meaningful for the exact model instance
     that produced it, so a hit rebuilds the policy against the
@@ -12,12 +12,15 @@
     {!Dpm_par} domain.  Capacity resolves from the [DPM_CACHE]
     environment variable (a nonnegative integer) or defaults to 512;
     the CLI's [--cache] flag lands on {!set_capacity}.  Capacity 0
-    disables the cache entirely: {!find} and {!store} become no-ops
-    and touch no counters, so benchmarks can measure cold solves.
+    disables the cache entirely: {!solve} skips the lookup and the
+    store and touches no counters, so benchmarks can measure cold
+    solves.
 
     {!Dpm_obs} instrumentation: counters [cache.hits],
     [cache.misses], [cache.evictions]; gauges [cache.size],
-    [cache.hit_ratio]. *)
+    [cache.hit_ratio].  With a {!Dpm_trace.Recorder} active each
+    lookup also emits a [cache.hit] / [cache.miss] instant carrying
+    the same fingerprint as the provenance record. *)
 
 val default_capacity : int
 (** [DPM_CACHE] if set to a nonnegative integer, else 512. *)
@@ -45,30 +48,32 @@ val stats : unit -> Lru.stats
 val hit_ratio : unit -> float
 (** [hits / (hits + misses)], 0 when no lookups happened. *)
 
-val find :
-  Dpm_ctmdp.Model.t ->
-  Dpm_ctmdp.Policy_iteration.result option
-(** Cache lookup.  On a hit the returned result carries a policy
-    rebuilt for (and validated against) the given model and a private
-    copy of the bias vector; gain, iteration count, and trace are the
-    original solve's. *)
-
-val store :
-  Dpm_ctmdp.Model.t ->
-  Dpm_ctmdp.Policy_iteration.result ->
-  unit
-(** Insert a solve result.  Callers should store only results they
-    would be happy to serve verbatim — [Dpm_core.Optimize] stores
-    {e after} its multichain-retry path succeeds, so a degenerate
-    first attempt is never memoized. *)
-
 val solve :
-  ?init:Dpm_ctmdp.Policy.t ->
-  ?guard:(unit -> unit) ->
   Dpm_ctmdp.Model.t ->
-  Dpm_ctmdp.Policy_iteration.result
-(** Memoized {!Dpm_ctmdp.Policy_iteration.solve}: {!find}, else solve
-    (with optional warm start [init] and [guard]) and {!store}.  The key deliberately excludes [init]: policy iteration
-    converges to an average-cost optimum from any start, so any
-    cached optimum is a valid answer; callers that need the {e path}
-    (trace forensics) should bypass the cache. *)
+  miss:(unit -> (Dpm_ctmdp.Policy_iteration.result, 'e) result) ->
+  (Dpm_ctmdp.Policy_iteration.result, 'e) result
+(** [solve m ~miss] is the one memoized solve pipeline, shared by
+    [Dpm_core.Optimize], [Dpm_scenario.Solve] and the fleet's cluster
+    CTMDP:
+
+    + encode [m] once ({!Fingerprint.key}; the provenance digest is
+      {!Fingerprint.key_hash} of that key, i.e. {!Fingerprint.model_hash});
+    + look the key up — a hit returns the stored result with its
+      policy rebuilt for (and validated against) [m] and a private
+      copy of the bias vector; gain, iteration count and trace are
+      the original solve's;
+    + on a miss run the caller's [miss] computation, and store its
+      result only when it returns [Ok] (an [Error] or an exception
+      passes through and leaves the cache untouched);
+    + stamp the provenance [fingerprint], [origin] ([Cache_hit], else
+      the miss result's own [Cold]/[Warm]) and [wall_s] (lookup plus
+      miss, from entry to return).
+
+    Each caller owns its miss computation — [Optimize] runs its warm
+    start and multichain tie-break retry there, so only post-retry
+    results are stored; the scenario layer runs the validated,
+    deadline-guarded [Dpm_robust.Policy_iteration.solve_r].  The key
+    deliberately excludes any warm start: policy iteration converges
+    to an average-cost optimum from any start, so any cached optimum
+    is a valid answer; callers that need the {e path} (trace
+    forensics) should bypass the cache. *)

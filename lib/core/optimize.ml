@@ -7,78 +7,63 @@ type solution = {
   provenance : Dpm_trace.Provenance.t;
 }
 
+module Pi = Dpm_ctmdp.Policy_iteration
+
 let solve ?(weight = 0.0) ?init_actions ?guard sys =
-  let t0 = Dpm_obs.Probe.now () in
   let model = Sys_model.to_ctmdp sys ~weight in
-  (* Identify the solve in provenance whatever path produced it; the
-     hash is O(model) — noise next to any evaluation. *)
-  let finish ~origin (result : Dpm_ctmdp.Policy_iteration.result) =
-    {
-      result.Dpm_ctmdp.Policy_iteration.provenance with
-      Dpm_trace.Provenance.fingerprint = Dpm_cache.Fingerprint.model_hash model;
-      origin;
-      wall_s = Dpm_obs.Probe.now () -. t0;
-      weight;
-      arrival_rate = Sys_model.arrival_rate sys;
-    }
+  (* The miss computation of the shared pipeline: warm-started policy
+     iteration, then the multichain tie-break retry.  It runs before
+     the store, so the cache never serves a multichain tie that the
+     retry just worked around; the metrics it needed for that check
+     are kept for the solution. *)
+  let solved = ref None in
+  let miss () =
+    let solve_from init =
+      let result = Pi.solve ?init ?guard model in
+      (result, Dpm_ctmdp.Policy.actions model result.Pi.policy)
+    in
+    let result, actions =
+      solve_from
+        (Option.bind init_actions (Dpm_cache.Warm.init_of_actions model))
+    in
+    let result, actions, metrics =
+      match Analytic.of_action_array sys actions with
+      | metrics -> (result, actions, metrics)
+      | exception Dpm_ctmc.Steady_state.Not_irreducible _ ->
+          (* The converged policy can be multichain only on exact ties
+             between self-sufficient orbits (e.g. two identical active
+             speeds).  Restart policy iteration from the greedy policy,
+             whose orbit structure is connected, to break the tie. *)
+          let greedy =
+            Policies.to_ctmdp_policy sys model (Policies.greedy sys)
+          in
+          let result, actions = solve_from (Some greedy) in
+          (result, actions, Analytic.of_action_array sys actions)
+    in
+    solved := Some (actions, metrics);
+    Ok result
   in
-  match Dpm_cache.Solve_cache.find model with
-  | Some result ->
-      let actions =
-        Dpm_ctmdp.Policy.actions model result.Dpm_ctmdp.Policy_iteration.policy
-      in
+  let result = Result.get_ok (Dpm_cache.Solve_cache.solve model ~miss) in
+  let actions, metrics =
+    match !solved with
+    | Some solved -> solved
+    | None ->
+        let actions = Dpm_ctmdp.Policy.actions model result.Pi.policy in
+        (actions, Analytic.of_action_array sys actions)
+  in
+  {
+    weight;
+    actions;
+    gain = result.Pi.gain;
+    iterations = result.Pi.iterations;
+    metrics;
+    provenance =
       {
-        weight;
-        actions;
-        gain = result.Dpm_ctmdp.Policy_iteration.gain;
-        iterations = result.Dpm_ctmdp.Policy_iteration.iterations;
-        metrics = Analytic.of_action_array sys actions;
-        provenance = finish ~origin:Dpm_trace.Provenance.Cache_hit result;
-      }
-  | None ->
-      let solve_from init =
-        let result = Dpm_ctmdp.Policy_iteration.solve ?init ?guard model in
-        let actions =
-          Dpm_ctmdp.Policy.actions model
-            result.Dpm_ctmdp.Policy_iteration.policy
-        in
-        (result, actions)
-      in
-      let init =
-        match init_actions with
-        | None -> None
-        | Some actions -> Dpm_cache.Warm.init_of_actions model actions
-      in
-      let result, actions = solve_from init in
-      let result, actions, metrics =
-        match Analytic.of_action_array sys actions with
-        | metrics -> (result, actions, metrics)
-        | exception Dpm_ctmc.Steady_state.Not_irreducible _ ->
-            (* The converged policy can be multichain only on exact ties
-               between self-sufficient orbits (e.g. two identical active
-               speeds).  Restart policy iteration from the greedy policy,
-               whose orbit structure is connected, to break the tie. *)
-            let greedy =
-              Policies.to_ctmdp_policy sys model (Policies.greedy sys)
-            in
-            let result, actions = solve_from (Some greedy) in
-            (result, actions, Analytic.of_action_array sys actions)
-      in
-      (* Store only the post-retry result: the cache must never serve a
-         multichain tie that the retry just worked around. *)
-      Dpm_cache.Solve_cache.store model result;
-      {
-        weight;
-        actions;
-        gain = result.Dpm_ctmdp.Policy_iteration.gain;
-        iterations = result.Dpm_ctmdp.Policy_iteration.iterations;
-        metrics;
-        provenance =
-          finish
-            ~origin:result.Dpm_ctmdp.Policy_iteration.provenance
-                      .Dpm_trace.Provenance.origin
-            result;
-      }
+        result.Pi.provenance with
+        Dpm_trace.Provenance.weight;
+        arrival_rate = Sys_model.arrival_rate sys;
+      };
+  }
 
 let action_of sys solution x = solution.actions.(Sys_model.index sys x)
 
@@ -89,28 +74,24 @@ let solve_at ?weight ?init_actions ?guard sys ~arrival_rate =
   | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
   | exception exn -> Error exn
 
-let sweep_r ?domains ?guard ?(warm = true) sys ~weights =
-  (* One policy-iteration solve per weight, fenced per grid point: a
-     poisoned weight yields an [Error] slot while every other point
-     still solves.  With [warm] (the default) points run in the
-     {!Dpm_cache.Warm.waves} schedule, each seeded by an
+let warm_grid ~domains ~warm ~actions solve_point points =
+  (* Fenced per grid point: a poisoned point yields an [Error] slot
+     while every other point still solves.  With [warm] the points run
+     in the {!Dpm_cache.Warm.waves} schedule, each seeded by an
      already-solved point's policy — the schedule and every seed are
      functions of the grid size alone, so results (iteration counts
-     included) are identical at any domain count, and a failed or
-     invalid seed just degrades that point to a cold start. *)
-  let ws = Array.of_list weights in
-  let n = Array.length ws in
+     included) are identical at any domain count, and a failed seed
+     just degrades that point to a cold start. *)
+  let xs = Array.of_list points in
+  let n = Array.length xs in
   let results = Array.make n None in
-  let solve_point (k, src) =
+  let run (k, src) =
     let init_actions =
-      match src with
-      | None -> None
-      | Some j -> (
-          match results.(j) with
-          | Some (Ok s) -> Some s.actions
-          | Some (Error _) | None -> None)
+      match Option.bind src (fun j -> results.(j)) with
+      | Some (Ok r) -> Some (actions r)
+      | Some (Error _) | None -> None
     in
-    solve ~weight:ws.(k) ?init_actions ?guard sys
+    solve_point init_actions xs.(k)
   in
   let schedule =
     if warm then Dpm_cache.Warm.waves n
@@ -119,18 +100,17 @@ let sweep_r ?domains ?guard ?(warm = true) sys ~weights =
   in
   List.iter
     (fun wave ->
-      let out = Dpm_par.parallel_map_result ?domains solve_point wave in
       Array.iteri
-        (fun slot r ->
-          let k, _ = wave.(slot) in
-          results.(k) <- Some r)
-        out)
+        (fun slot r -> results.(fst wave.(slot)) <- Some r)
+        (Dpm_par.parallel_map_result ?domains run wave))
     schedule;
-  List.combine weights
-    (Array.to_list
-       (Array.map
-          (function Some r -> r | None -> assert false)
-          results))
+  List.mapi (fun k x -> (x, Option.get results.(k))) points
+
+let sweep_r ?domains ?guard ?(warm = true) sys ~weights =
+  warm_grid ~domains ~warm
+    ~actions:(fun s -> s.actions)
+    (fun init_actions weight -> solve ~weight ?init_actions ?guard sys)
+    weights
 
 let sweep ?domains ?warm sys ~weights =
   List.map

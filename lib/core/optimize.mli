@@ -35,15 +35,21 @@ val solve :
     threaded into the policy-iteration loop and may raise to abort —
     the [Dpm_robust] deadline hook.
 
-    Results are memoized in {!Dpm_cache.Solve_cache} (keyed on the
-    built CTMDP's structural fingerprint); a repeat solve of the same
-    system and weight returns the cached policy, gain, and iteration
-    count, with the analytic metrics recomputed.  Only post-retry
-    results are stored, so the multichain tie-breaking below is never
-    bypassed.  [init_actions] (e.g. a neighboring grid point's
-    [actions]) warm-starts policy iteration; an action table that is
-    the wrong size or requests a label some state lacks falls back to
-    a cold start ({!Dpm_cache.Warm.init_of_actions}). *)
+    The solve runs through the one memoized pipeline,
+    {!Dpm_cache.Solve_cache.solve}, keyed on the built CTMDP's
+    structural fingerprint: a repeat solve of the same system and
+    weight returns the cached policy, gain, and iteration count, with
+    the analytic metrics recomputed.  On a miss this function supplies
+    the computation — policy iteration, warm-started when
+    [init_actions] (e.g. a neighboring grid point's [actions]) resolves
+    against the model, else cold ({!Dpm_cache.Warm.init_of_actions}),
+    then a restart from the greedy policy when the converged policy
+    turns out multichain on an exact tie — and the pipeline stores
+    only that post-retry result.  The metrics computed for the
+    multichain check are reused, never recomputed.  [provenance]
+    carries the pipeline's fingerprint, origin and wall clock (lookup
+    plus solve, not the model build), plus [weight] and the system's
+    arrival rate. *)
 
 val action_of : Sys_model.t -> solution -> Sys_model.state -> int
 (** Read a solution as a policy function. *)
@@ -91,6 +97,26 @@ val sweep_r :
     the grid size, never on the domain count, so determinism is
     preserved; a failed or invalid seed degrades that point to a cold
     start.  [~warm:false] restores fully independent cold solves. *)
+
+val warm_grid :
+  domains:int option ->
+  warm:bool ->
+  actions:('r -> int array) ->
+  (int array option -> 'a -> 'r) ->
+  'a list ->
+  ('a * ('r, exn) result) list
+(** [warm_grid ~domains ~warm ~actions solve_point points] is the grid
+    runner behind {!sweep_r} and [Sensitivity.rate_sweep_r]: it calls
+    [solve_point init_actions x] once per point on the {!Dpm_par} pool
+    ([domains] as in {!sweep_r}) and returns the points in input order
+    with their fenced results ({!Dpm_par.parallel_map_result}: a
+    raising point becomes [Error] and increments [par.item_failures]).
+    With [warm] the points run in the {!Dpm_cache.Warm.waves}
+    schedule and [init_actions] is [actions] of the point's
+    already-solved seed ([None] for the cold first point or a failed
+    seed); without it every point gets [None] in one wave.  The
+    schedule depends only on the grid size, so results are identical
+    at any domain count. *)
 
 val sweep :
   ?domains:int ->

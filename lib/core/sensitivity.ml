@@ -40,49 +40,14 @@ let check_sweep_args sys ~actions ~rates =
 
 let rate_sweep_r ?domains ?(warm = true) sys ~actions ~weight ~rates =
   check_sweep_args sys ~actions ~rates;
-  (* Each grid point re-solves the CTMDP — order-deterministic and
-     fenced per point: one poisoned rate becomes an [Error] slot, the
-     rest of the grid survives.  With [warm] (the default) the grid
-     runs in the {!Dpm_cache.Warm.waves} schedule and each point's
-     re-optimization is seeded by an already-solved neighbor's policy;
-     the schedule depends only on the grid size, so results are
-     identical at any domain count. *)
-  let rs = Array.of_list rates in
-  let n = Array.length rs in
-  let results = Array.make n None in
-  let solve_point (k, src) =
-    let init_actions =
-      match src with
-      | None -> None
-      | Some j -> (
-          match results.(j) with
-          | Some (Ok (_, opt_actions)) -> Some opt_actions
-          | Some (Error _) | None -> None)
-    in
-    point_at_warm sys ~actions ~weight ?init_actions rs.(k)
-  in
-  let schedule =
-    if warm then Dpm_cache.Warm.waves n
-    else if n = 0 then []
-    else [ Array.init n (fun k -> (k, None)) ]
-  in
-  List.iter
-    (fun wave ->
-      let out = Dpm_par.parallel_map_result ?domains solve_point wave in
-      Array.iteri
-        (fun slot r ->
-          let k, _ = wave.(slot) in
-          results.(k) <- Some r)
-        out)
-    schedule;
-  List.combine rates
-    (Array.to_list
-       (Array.map
-          (function
-            | Some (Ok (point, _)) -> Ok point
-            | Some (Error exn) -> Error exn
-            | None -> assert false)
-          results))
+  (* Each grid point re-solves the CTMDP, seeded (with [warm]) by an
+     already-solved neighbor's re-optimized policy. *)
+  List.map
+    (fun (rate, r) -> (rate, Result.map fst r))
+    (Optimize.warm_grid ~domains ~warm ~actions:snd
+       (fun init_actions rate ->
+         point_at_warm sys ~actions ~weight ?init_actions rate)
+       rates)
 
 let rate_sweep ?domains ?warm sys ~actions ~weight ~rates =
   check_sweep_args sys ~actions ~rates;

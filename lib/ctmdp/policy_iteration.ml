@@ -97,7 +97,12 @@ let evaluate_robust ?(ref_state = 0) m p =
   check_ref_state m ref_state;
   let a, b = dense_system ~ref_state m p in
   match Lu.decompose a with
-  | lu -> evaluation_of ~ref_state (Lu.solve_factored lu b)
+  | lu ->
+      let x = Lu.solve_factored lu b in
+      (* The provenance residual belongs to the evaluation that
+         answered last, dense or sweep ([decompose] leaves [a] intact). *)
+      Dpm_trace.Provenance.note_residual (Lu.residual_norm a x b);
+      evaluation_of ~ref_state x
   | exception Lu.Singular first_pivot ->
       Dpm_obs.Probe.incr "policy_iteration.robust_retries";
       Dpm_trace.Provenance.note_robust_retry ();

@@ -64,7 +64,10 @@ val evaluate_robust : ?ref_state:int -> Model.t -> Policy.t -> evaluation
     [Model.choice]; rungs patch the assembled diagonal in place.
     Probe counters: [policy_iteration.robust_retries] (entries into
     the ladder), [policy_iteration.tikhonov_rungs] (rungs tried),
-    gauge [policy_iteration.tikhonov_exact_residual]. *)
+    gauge [policy_iteration.tikhonov_exact_residual].  Provenance
+    records the residual [|A x - b|_inf] of the system it solved (the
+    exact system's on a Tikhonov rung), so a solve's reported residual
+    is always its last evaluation's. *)
 
 val evaluate_implicit :
   ?ref_state:int ->

@@ -51,6 +51,7 @@ type t = {
   iterations : int;
   stationary : float array;
   failures : ((int * float) * Dpm_robust.Error.t) list;
+  provenance : Dpm_trace.Provenance.t;
 }
 
 let validate_load load =
@@ -271,8 +272,14 @@ let solve ?domains ?guard spec ~load =
         let k = counts.(ki) in
         if ki > !kstar_i then k - 1 else if ki < !kstar_i then k + 1 else k)
   in
-  let init = Policy.of_actions model init_actions in
-  let res = Pi.solve ?guard ~init model in
+  (* Through the shared solve pipeline: a repeat of the same spec and
+     load (e.g. a second [Fleet_sim.run]) is one cache hit. *)
+  let res =
+    Result.get_ok
+      (Dpm_cache.Solve_cache.solve model ~miss:(fun () ->
+           let init = Policy.of_actions model init_actions in
+           Ok (Pi.solve ?guard ~init model)))
+  in
   let targets = Policy.actions model res.Pi.policy in
   (* Settle point of phase 0 under the optimal policy — the start
      state for the reachability fallback when the closed-loop chain
@@ -293,7 +300,8 @@ let solve ?domains ?guard spec ~load =
   let stationary = stationary_of ?guard gen ~start:(sid 0 settle_ki) in
   { spec; load; counts; stay_cost = stay; power_tbl = power;
     waiting_tbl = waiting; throughput_tbl = throughput; targets;
-    gain = res.Pi.gain; iterations = res.Pi.iterations; stationary; failures }
+    gain = res.Pi.gain; iterations = res.Pi.iterations; stationary; failures;
+    provenance = res.Pi.provenance }
 
 let num_phases t = Array.length t.load.rates
 

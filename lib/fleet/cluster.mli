@@ -70,6 +70,10 @@ type t = {
   failures : ((int * float) * Dpm_robust.Error.t) list;
       (** per-(group, routed rate) solve failures — those cells use a
           pessimistic finite cost instead *)
+  provenance : Dpm_trace.Provenance.t;
+      (** provenance of the cluster CTMDP's own solve: fingerprint,
+          origin ([Cache_hit] when the solve cache answered), eval
+          path, iterations, wall clock *)
 }
 (** A solved cluster controller. *)
 
@@ -79,7 +83,11 @@ val solve : ?domains:int -> ?guard:(unit -> unit) -> Spec.t -> load:load -> t
     the domain pool, through the solve cache; a failed solve is
     tallied and its cells priced at {!Spec.max_power} + weight * Q
     (pessimistic, finite — {!Dpm_ctmdp.Model.create} rejects
-    infinities).  Results are bit-identical at any domain count.
+    infinities).  The cluster CTMDP itself then goes through the same
+    pipeline ({!Dpm_cache.Solve_cache.solve}), with policy iteration
+    started from the drain-toward-the-static-optimum policy on a
+    miss, so a repeat solve of the same spec and load is served from
+    the cache.  Results are bit-identical at any domain count.
     Raises [Invalid_argument] on a malformed load. *)
 
 val num_phases : t -> int

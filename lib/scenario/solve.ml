@@ -6,48 +6,16 @@ type solution = {
 }
 
 let solve ?deadline_s model =
-  let t0 = Dpm_obs.Probe.now () in
-  (* Same provenance contract as [Dpm_core.Optimize.solve]: whatever
-     path answered, the record identifies the model and the origin. *)
-  let finish ~origin (result : Dpm_ctmdp.Policy_iteration.result) =
-    {
-      actions =
-        Dpm_ctmdp.Policy.actions model result.Dpm_ctmdp.Policy_iteration.policy;
-      gain = result.Dpm_ctmdp.Policy_iteration.gain;
-      iterations = result.Dpm_ctmdp.Policy_iteration.iterations;
-      provenance =
-        {
-          result.Dpm_ctmdp.Policy_iteration.provenance with
-          Dpm_trace.Provenance.fingerprint =
-            Dpm_cache.Fingerprint.model_hash model;
-          origin;
-          wall_s = Dpm_obs.Probe.now () -. t0;
-        };
-    }
-  in
-  match Dpm_cache.Solve_cache.find model with
-  | Some result -> Ok (finish ~origin:Dpm_trace.Provenance.Cache_hit result)
-  | None -> (
-      match Dpm_robust.Policy_iteration.solve_r ?deadline_s model with
-      | Error _ as e -> e
-      | Ok result ->
-          Dpm_cache.Solve_cache.store model result;
-          Ok
-            (finish
-               ~origin:
-                 result.Dpm_ctmdp.Policy_iteration.provenance
-                   .Dpm_trace.Provenance.origin result))
-
-let sweep ?domains ?deadline_s ~weights build =
-  (* Fenced per grid point like [Optimize.sweep_r]: [solve] already
-     returns a result, so the pool maps plain values and order
-     determinism gives bit-identical output at any domain count. *)
-  let out =
-    Dpm_par.parallel_map_list ?domains
-      (fun w -> (w, solve ?deadline_s (build w)))
-      weights
-  in
-  out
+  Result.map
+    (fun (r : Dpm_ctmdp.Policy_iteration.result) ->
+      {
+        actions = Dpm_ctmdp.Policy.actions model r.policy;
+        gain = r.gain;
+        iterations = r.iterations;
+        provenance = r.provenance;
+      })
+    (Dpm_cache.Solve_cache.solve model ~miss:(fun () ->
+         Dpm_robust.Policy_iteration.solve_r ?deadline_s model))
 
 let closed_loop model ~actions =
   let policy = Dpm_ctmdp.Policy.of_actions model actions in

@@ -2,12 +2,13 @@
 
     The scenario builders ({!Phased}, {!Polling}, {!Batching}) all
     compile to a plain {!Dpm_ctmdp.Model.t}, so one driver covers
-    them: validation and guarded policy iteration through
-    [Dpm_robust.Policy_iteration.solve_r], memoization through the
-    process-wide [Dpm_cache.Solve_cache] (keyed on the structural
-    fingerprint, so e.g. an Erlang-1 phased model and its base system
-    share one entry), and provenance enriched with the model hash and
-    origin exactly as [Dpm_core.Optimize] does for the paper system.
+    them.  It runs the same pipeline as [Dpm_core.Optimize] and the
+    fleet's cluster CTMDP, [Dpm_cache.Solve_cache.solve]: one lookup
+    keyed on the structural fingerprint (so e.g. an Erlang-1 phased
+    model and its base system share one entry), and on a miss
+    validation plus guarded policy iteration through
+    [Dpm_robust.Policy_iteration.solve_r]; the pipeline stamps the
+    model hash, origin and wall clock into the provenance.
 
     {!stationary_gain} is the independent cross-check: it re-derives
     the average cost of a fixed policy from the closed-loop chain's
@@ -18,7 +19,8 @@
 type solution = {
   actions : int array;  (** optimal action label per state *)
   gain : float;  (** optimal average cost rate *)
-  iterations : int;  (** policy-iteration count (0 on a cache hit) *)
+  iterations : int;  (** policy-iteration count (the original solve's on a
+          cache hit) *)
   provenance : Dpm_trace.Provenance.t;
       (** solve provenance with the fingerprint and origin filled *)
 }
@@ -27,22 +29,14 @@ val solve :
   ?deadline_s:float ->
   Dpm_ctmdp.Model.t ->
   (solution, Dpm_robust.Error.t) result
-(** Validate, look up the cache, otherwise run guarded policy
-    iteration (under the optional wall-clock budget) and memoize.
-    All failures arrive as the robustness layer's typed errors —
-    nothing raises but runtime-fatal exceptions. *)
-
-val sweep :
-  ?domains:int ->
-  ?deadline_s:float ->
-  weights:float list ->
-  (float -> Dpm_ctmdp.Model.t) ->
-  (float * (solution, Dpm_robust.Error.t) result) list
-(** [sweep ~weights build] solves [build w] for every weight on the
-    {!Dpm_par} pool ([?domains] as everywhere else; default
-    sequential).  Results land in input order whatever the domain
-    count, and each point is fenced: a failing weight yields its
-    [Error] slot while the others still solve. *)
+(** Look the model up in the solve cache; on a miss validate it, run
+    guarded policy iteration (under the optional wall-clock budget)
+    and memoize the result.  A failed solve is not stored.  All
+    failures arrive as the robustness layer's typed errors — nothing
+    raises but runtime-fatal exceptions.  Map it over
+    [Dpm_par.parallel_map_list] for a sweep: each point is fenced by
+    its own [result], and order determinism gives bit-identical
+    output at any domain count. *)
 
 val closed_loop :
   Dpm_ctmdp.Model.t ->

@@ -61,7 +61,10 @@ let fingerprint_permutation () =
   Alcotest.(check int64)
     "hashes equal" (Fingerprint.model_hash a) (Fingerprint.model_hash b);
   Alcotest.(check string)
-    "full keys equal" (Fingerprint.key a) (Fingerprint.key b)
+    "full keys equal" (Fingerprint.key a) (Fingerprint.key b);
+  Alcotest.(check int64)
+    "the key's digest is the model hash" (Fingerprint.model_hash a)
+    (Fingerprint.key_hash (Fingerprint.key b))
 
 let fingerprint_perturbation () =
   let a = base_model () in
@@ -134,8 +137,11 @@ let lru_counters () =
 let solve_cache_roundtrip () =
   Solve_cache.with_capacity 8 @@ fun () ->
   let m = base_model () in
-  let first = Solve_cache.solve m in
-  let second = Solve_cache.solve m in
+  let solve m =
+    Result.get_ok (Solve_cache.solve m ~miss:(fun () -> Ok (Pi.solve m)))
+  in
+  let first = solve m in
+  let second = solve m in
   Alcotest.(check bool)
     "same policy" true
     (Policy.equal first.Pi.policy second.Pi.policy);
@@ -148,17 +154,47 @@ let solve_cache_roundtrip () =
   (* A permuted-but-equal model must hit, and the returned policy must
      be valid for (rebuilt against) the permuted instance. *)
   let p = permuted_model () in
-  (match Solve_cache.find p with
-  | None -> Alcotest.fail "permuted model missed the cache"
-  | Some r ->
+  (match
+     Solve_cache.solve p ~miss:(fun () ->
+         Alcotest.fail "permuted model missed the cache")
+   with
+  | Error () -> Alcotest.fail "a hit cannot fail"
+  | Ok r ->
       Alcotest.(check bool)
         "rebuilt policy selects the same actions" true
         (Policy.actions p r.Pi.policy = Policy.actions m first.Pi.policy));
   (* Mutating the returned bias must not corrupt the cached entry. *)
-  let r1 = Solve_cache.solve m in
+  let r1 = solve m in
   r1.Pi.bias.(0) <- 1e9;
-  let r2 = Solve_cache.solve m in
+  let r2 = solve m in
   if r2.Pi.bias.(0) = 1e9 then Alcotest.fail "cached bias was aliased"
+
+let failed_miss_not_stored () =
+  (* The pipeline stores a miss only when it succeeds: an [Error] or an
+     exception passes through and the next lookup misses again. *)
+  Solve_cache.with_capacity 8 @@ fun () ->
+  let m = base_model () in
+  (match Solve_cache.solve m ~miss:(fun () -> Error "typed failure") with
+  | Error "typed failure" -> ()
+  | _ -> Alcotest.fail "the miss's error must pass through");
+  (match Solve_cache.solve m ~miss:(fun () -> failwith "raised") with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "the miss's exception must pass through");
+  let ran = ref false in
+  (match
+     Solve_cache.solve m ~miss:(fun () ->
+         ran := true;
+         Ok (Pi.solve m))
+   with
+  | Ok r ->
+      Alcotest.(check bool) "cold origin" true
+        (r.Pi.provenance.Dpm_trace.Provenance.origin
+        = Dpm_trace.Provenance.Cold)
+  | Error () -> Alcotest.fail "solve failed");
+  Alcotest.(check bool) "failed misses stored nothing" true !ran;
+  let s = Solve_cache.stats () in
+  Alcotest.(check int) "three misses" 3 s.Lru.misses;
+  Alcotest.(check int) "no hits" 0 s.Lru.hits
 
 let waves_schedule () =
   Alcotest.(check int) "n=0 empty" 0 (List.length (Warm.waves 0));
@@ -254,7 +290,7 @@ let domain_safety () =
     Alcotest.failf "expected the repeat sweeps to hit, got %d hits" s.Lru.hits
 
 let sweep_hit_ratio () =
-  (* The @cache-verify contract: a 5-point sweep with one duplicated
+  (* The cache smoke's contract: a 5-point sweep with one duplicated
      weight has a nonzero hit ratio. *)
   Solve_cache.with_capacity 16 @@ fun () ->
   let sys = Paper_instance.system () in
@@ -305,6 +341,8 @@ let suite =
     Alcotest.test_case "lru: hit/miss counters" `Quick lru_counters;
     Alcotest.test_case "solve cache: roundtrip, permutation hit, isolation"
       `Quick solve_cache_roundtrip;
+    Alcotest.test_case "solve cache: a failed miss is not stored" `Quick
+      failed_miss_not_stored;
     Alcotest.test_case "warm: wave schedule is a valid function of n" `Quick
       waves_schedule;
     Alcotest.test_case "warm: action-table validation" `Quick

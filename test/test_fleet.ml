@@ -298,6 +298,61 @@ let cache_dedup () =
         servers.(0).Deploy.actions s.Deploy.actions)
     servers
 
+let cluster_through_pipeline () =
+  (* The cluster CTMDP goes through the shared solve pipeline: a second
+     solve of the same spec and load repeats every lookup of the first
+     as a hit — the per-server jobs plus exactly one hit on the cluster
+     model — and returns what a cold solve returns, bit for bit. *)
+  let spec = two_group_spec () in
+  let load = Cluster.cyclic_load [ (0.9, 40.0); (0.3, 60.0) ] in
+  let cold =
+    Solve_cache.with_capacity 0 (fun () -> Cluster.solve ~domains:1 spec ~load)
+  in
+  Solve_cache.with_capacity 128 @@ fun () ->
+  let first = Cluster.solve ~domains:1 spec ~load in
+  let s0 = Solve_cache.stats () in
+  let recorder = Dpm_trace.Recorder.create () in
+  let second =
+    Dpm_trace.Recorder.with_recorder recorder (fun () ->
+        Cluster.solve ~domains:1 spec ~load)
+  in
+  let s1 = Solve_cache.stats () in
+  Alcotest.(check int) "no misses on the repeat" 0
+    (s1.Dpm_cache.Lru.misses - s0.Dpm_cache.Lru.misses);
+  Alcotest.(check int) "every first-solve lookup hits"
+    (s0.Dpm_cache.Lru.hits + s0.Dpm_cache.Lru.misses)
+    (s1.Dpm_cache.Lru.hits - s0.Dpm_cache.Lru.hits);
+  let fingerprint =
+    Printf.sprintf "%016Lx"
+      second.Cluster.provenance.Dpm_trace.Provenance.fingerprint
+  in
+  let cluster_hits =
+    List.length
+      (List.filter
+         (fun (e : Dpm_trace.Event.t) ->
+           e.Dpm_trace.Event.name = "cache.hit"
+           && List.assoc_opt "fingerprint" e.Dpm_trace.Event.args
+              = Some (Dpm_trace.Event.Str fingerprint))
+         (Dpm_trace.Recorder.events recorder))
+  in
+  Alcotest.(check int) "one hit on the cluster model" 1 cluster_hits;
+  Alcotest.(check bool) "first solve ran policy iteration" true
+    (first.Cluster.provenance.Dpm_trace.Provenance.origin
+    <> Dpm_trace.Provenance.Cache_hit);
+  Alcotest.(check bool) "repeat served from the cache" true
+    (second.Cluster.provenance.Dpm_trace.Provenance.origin
+    = Dpm_trace.Provenance.Cache_hit);
+  Alcotest.(check (array int)) "targets" cold.Cluster.targets
+    second.Cluster.targets;
+  check_bits "gain" cold.Cluster.gain second.Cluster.gain;
+  Alcotest.(check int) "iterations" cold.Cluster.iterations
+    second.Cluster.iterations;
+  Array.iteri
+    (fun s v ->
+      check_bits (Printf.sprintf "stationary[%d]" s) v
+        second.Cluster.stationary.(s))
+    cold.Cluster.stationary
+
 (* --- chaos: incumbents survive injected solver failure ----------- *)
 
 let chaos_incumbent_survives () =
@@ -492,6 +547,7 @@ let suite =
     t "fleet simulation is domain-count bit-identical" `Slow
       fleet_sim_domain_identity;
     t "N identical servers: 1 miss, N-1 hits" `Quick cache_dedup;
+    t "repeat cluster solve is one cache hit" `Quick cluster_through_pipeline;
     t "chaos: incumbents survive injected solve failure" `Quick
       chaos_incumbent_survives;
     t "fleet simulation per-tier accounting" `Quick fleet_sim_accounting;

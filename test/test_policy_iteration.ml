@@ -320,6 +320,28 @@ let fallback_counts_pinned () =
       ("batching B=4 Q=100", batching, 6, 7);
     ]
 
+let residual_is_last_evaluations () =
+  (* Paper SYS Q=64: the sweeps answer iteration 1 and dense LU the
+     other three, so the provenance residual must be dense LU's
+     residual on the final policy — not the sweep residual left over
+     from iteration 1. *)
+  let m = paper_sys 64 in
+  let r = Policy_iteration.solve m in
+  let prov = r.Policy_iteration.provenance in
+  Alcotest.(check int) "fallbacks" 3 prov.Dpm_trace.Provenance.sparse_fallbacks;
+  Alcotest.(check string) "final evaluation is dense" "dense"
+    prov.Dpm_trace.Provenance.eval_path;
+  let _, last =
+    Dpm_trace.Provenance.collect (fun () ->
+        Policy_iteration.evaluate_robust m r.Policy_iteration.policy)
+  in
+  let expected = last.Dpm_trace.Provenance.residual in
+  if not (Float.is_finite expected) then
+    Alcotest.fail "dense LU noted no residual";
+  Alcotest.(check int64) "residual of the final dense evaluation"
+    (Int64.bits_of_float expected)
+    (Int64.bits_of_float prov.Dpm_trace.Provenance.residual)
+
 let suite =
   [
     t "evaluation hand-checked" `Quick evaluation_matches_hand_solution;
@@ -327,6 +349,8 @@ let suite =
     t "deadline covers implicit eval" `Quick solve_deadline_covers_implicit_eval;
     t "sweeps answer the paper SYS" `Quick sweep_answers_paper_sys;
     t "sweep fallback counts pinned" `Quick fallback_counts_pinned;
+    t "provenance residual is the last evaluation's" `Quick
+      residual_is_last_evaluations;
     t "matches brute force" `Quick solve_matches_brute_force;
     t "dominant action chosen" `Quick cheap_fast_service_always_chosen;
     t "trace monotone, terminates" `Quick trace_is_monotone_and_terminates;

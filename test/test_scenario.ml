@@ -435,7 +435,9 @@ let sweep_bit_identity () =
       (fun (w, r) ->
         let s = ok_exn (Printf.sprintf "sweep w=%g" w) r in
         (w, bits s.Solve.gain, s.Solve.actions))
-      (Solve.sweep ~domains ~weights build)
+      (Dpm_par.parallel_map_list ~domains
+         (fun w -> (w, Solve.solve (build w)))
+         weights)
   in
   let r1 = run 1 in
   List.iter
